@@ -1,7 +1,7 @@
 //===- bench/BenchCommon.h - Shared helpers for the table benches -*- C++ -*-===//
 ///
 /// \file
-/// Helpers shared by the table-regenerating bench binaries: configuration
+/// Helpers shared by the bsched-suite table sources: configuration
 /// constructors, the per-benchmark run loop with failure reporting, and
 /// printf-free table emission.
 ///
@@ -69,17 +69,6 @@ gridJobs(const std::vector<driver::CompileOptions> &Configs,
       for (const sim::MachineConfig &M : Machines)
         Jobs.push_back({&W, O, M});
   return Jobs;
-}
-
-/// Pre-computes every (workload, options, machine) combination on the shared
-/// thread pool so the serial table-assembly loops below hit the runCached
-/// memo instead of compiling and simulating one cell at a time. Results are
-/// identical for any thread count (runAll's determinism contract), so the
-/// emitted tables are byte-for-byte what the serial loops produced.
-inline void warm(const std::vector<driver::CompileOptions> &Configs,
-                 const std::vector<sim::MachineConfig> &Machines = {
-                     sim::MachineConfig{}}) {
-  driver::runAll(gridJobs(Configs, Machines));
 }
 
 inline void emit(const Table &T) {

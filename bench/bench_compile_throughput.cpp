@@ -36,6 +36,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BaselineGate.h"
 #include "BenchCommon.h"
 #include "driver/Compiler.h"
 #include "driver/Experiment.h"
@@ -55,6 +56,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -514,38 +516,6 @@ SustainedResult runSustained(bool Quick, unsigned MaxThreads) {
   return Out;
 }
 
-std::string jsonEscape(const std::string &S) { return S; } // tags are plain
-
-/// Reads "min_instrs_per_sec" entries from the (intentionally simple)
-/// baseline JSON: lines of the form  "TAG": NUMBER.
-std::vector<std::pair<std::string, double>>
-readBaseline(const std::string &Path) {
-  std::vector<std::pair<std::string, double>> Entries;
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "FATAL: cannot read baseline %s\n", Path.c_str());
-    std::exit(1);
-  }
-  std::string Line;
-  while (std::getline(In, Line)) {
-    size_t Q0 = Line.find('"');
-    if (Q0 == std::string::npos)
-      continue;
-    size_t Q1 = Line.find('"', Q0 + 1);
-    if (Q1 == std::string::npos)
-      continue;
-    std::string Tag = Line.substr(Q0 + 1, Q1 - Q0 - 1);
-    size_t Colon = Line.find(':', Q1);
-    if (Colon == std::string::npos || Tag == "schema" ||
-        Tag == "min_instrs_per_sec")
-      continue;
-    double V = std::atof(Line.c_str() + Colon + 1);
-    if (V > 0)
-      Entries.emplace_back(Tag, V);
-  }
-  return Entries;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -777,7 +747,7 @@ int main(int argc, char **argv) {
       // not timed in this mode: a fake ratio reads as a 1000x regression.
       std::string Speedup =
           R.totalRefNs() == 0 ? "null" : fmtDouble(R.speedup(), 3);
-      J << "    {\"tag\": \"" << jsonEscape(R.Config.Tag) << "\", "
+      J << "    {\"tag\": \"" << R.Config.Tag << "\", "
         << "\"unroll\": " << R.Config.Unroll << ", "
         << "\"traces\": " << (R.Config.Traces ? "true" : "false") << ",\n"
         << "     \"total_instrs\": " << R.totalInstrs() << ", "
@@ -874,31 +844,17 @@ int main(int argc, char **argv) {
   }
 
   // --- Baseline gate --------------------------------------------------------
-  if (!BaselinePath.empty()) {
-    bool Failed = false;
-    for (const auto &[Tag, MinIps] : readBaseline(BaselinePath)) {
-      const ConfigRow *Found = nullptr;
-      for (const ConfigRow &R : Results)
-        if (R.Config.Tag == Tag)
-          Found = &R;
-      if (!Found) {
-        std::fprintf(stderr, "baseline tag %s not measured\n", Tag.c_str());
-        Failed = true;
-        continue;
-      }
-      double Ips = Found->instrsPerSec();
-      double Floor = 0.75 * MinIps;
-      std::printf("gate: %-12s %10.0f instr/s (baseline %.0f, floor %.0f) %s\n",
-                  Tag.c_str(), Ips, MinIps, Floor,
-                  Ips >= Floor ? "ok" : "REGRESSION");
-      if (Ips < Floor)
-        Failed = true;
-    }
-    if (Failed) {
-      std::fprintf(stderr,
-                   "FAIL: compile throughput regressed >25%% vs baseline\n");
-      return 1;
-    }
+  auto MeasuredIps = [&](const std::string &Tag) -> std::optional<double> {
+    for (const ConfigRow &R : Results)
+      if (R.Config.Tag == Tag)
+        return R.instrsPerSec();
+    return std::nullopt;
+  };
+  if (!BaselinePath.empty() &&
+      !bench::passesBaselineGate(BaselinePath, MeasuredIps)) {
+    std::fprintf(stderr,
+                 "FAIL: compile throughput regressed >25%% vs baseline\n");
+    return 1;
   }
 
   // --- Determinism gate -----------------------------------------------------

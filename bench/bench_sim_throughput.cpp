@@ -27,6 +27,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BaselineGate.h"
+
 #include "driver/Compiler.h"
 #include "driver/Workloads.h"
 #include "lang/Parser.h"
@@ -40,6 +42,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -101,36 +104,6 @@ struct ScalePoint {
   unsigned Threads;
   uint64_t WallNs;
 };
-
-/// Reads "min_instrs_per_sec" entries from the (intentionally simple)
-/// baseline JSON: lines of the form  "TAG": NUMBER.
-std::vector<std::pair<std::string, double>>
-readBaseline(const std::string &Path) {
-  std::vector<std::pair<std::string, double>> Entries;
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "FATAL: cannot read baseline %s\n", Path.c_str());
-    std::exit(1);
-  }
-  std::string Line;
-  while (std::getline(In, Line)) {
-    size_t Q0 = Line.find('"');
-    if (Q0 == std::string::npos)
-      continue;
-    size_t Q1 = Line.find('"', Q0 + 1);
-    if (Q1 == std::string::npos)
-      continue;
-    std::string Tag = Line.substr(Q0 + 1, Q1 - Q0 - 1);
-    size_t Colon = Line.find(':', Q1);
-    if (Colon == std::string::npos || Tag == "schema" ||
-        Tag == "min_instrs_per_sec" || Tag == "min_speedup")
-      continue;
-    double V = std::atof(Line.c_str() + Colon + 1);
-    if (V > 0)
-      Entries.emplace_back(Tag, V);
-  }
-  return Entries;
-}
 
 } // namespace
 
@@ -320,31 +293,17 @@ int main(int argc, char **argv) {
   }
 
   // --- Baseline gate --------------------------------------------------------
-  if (!BaselinePath.empty()) {
-    bool Failed = false;
-    for (const auto &[Tag, MinIps] : readBaseline(BaselinePath)) {
-      const uint64_t *Found = nullptr;
-      for (size_t MI = 0; MI != Models.size(); ++MI)
-        if (Tag == Models[MI].Tag)
-          Found = &TotalNs[MI];
-      if (!Found) {
-        std::fprintf(stderr, "baseline tag %s not measured\n", Tag.c_str());
-        Failed = true;
-        continue;
-      }
-      double Measured = Ips(*Found);
-      double Floor = 0.75 * MinIps;
-      std::printf("gate: %-9s %12.0f instr/s (baseline %.0f, floor %.0f) %s\n",
-                  Tag.c_str(), Measured, MinIps, Floor,
-                  Measured >= Floor ? "ok" : "REGRESSION");
-      if (Measured < Floor)
-        Failed = true;
-    }
-    if (Failed) {
-      std::fprintf(stderr,
-                   "FAIL: simulator throughput regressed >25%% vs baseline\n");
-      return 1;
-    }
+  auto MeasuredIps = [&](const std::string &Tag) -> std::optional<double> {
+    for (size_t MI = 0; MI != Models.size(); ++MI)
+      if (Tag == Models[MI].Tag)
+        return Ips(TotalNs[MI]);
+    return std::nullopt;
+  };
+  if (!BaselinePath.empty() &&
+      !bench::passesBaselineGate(BaselinePath, MeasuredIps)) {
+    std::fprintf(stderr,
+                 "FAIL: simulator throughput regressed >25%% vs baseline\n");
+    return 1;
   }
   return 0;
 }

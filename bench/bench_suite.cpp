@@ -1,32 +1,32 @@
 //===- bench/bench_suite.cpp - Unified experiment suite runner -------------===//
 //
-// bsched-suite: runs any subset of the paper's table/ablation benches in one
-// process over one shared result cache. The cross-table (workload, options,
-// machine) overlap is deduplicated by runCached key before dispatch, the
-// unique jobs fan out over ThreadPool::parallelForChunked (guided — the mix
-// of microsecond compiles and multi-second simulations is exactly the
-// non-uniform-duration case guided self-scheduling serves), and each table's
-// emitter then assembles its output from the warm cache. With a persistent
+// bsched-suite: the one entry point for regenerating the paper's tables and
+// ablations (`bsched-suite [--tables NAME]`). It runs any subset of the
+// tables in one process over one shared result cache. The cross-table
+// (workload, options, machine) overlap is deduplicated by runCached key
+// before dispatch, the unique jobs fan out over
+// ThreadPool::parallelForChunked (guided — the mix of microsecond compiles
+// and multi-second simulations is exactly the non-uniform-duration case
+// guided self-scheduling serves), and each table's emitter then assembles
+// its output from the warm cache. With a persistent
 // artifact store configured (--store or BSCHED_ARTIFACT_DIR), results
 // outlive the process: a warm re-run deserializes instead of recomputing.
 //
-// Output contract: every table's bytes are identical to its standalone
-// bench_<table> binary, for any thread count, cold or warm store
-// (--verify-standalone re-runs the standalone binaries and compares).
+// Output contract: every table's bytes are the same for any thread count,
+// any table subset beside it, cold or warm store (suite_test asserts this;
+// --measure checks cold against warm on every run).
 //
 // Usage:
 //   --list                   list registered tables and exit
 //   --tables a,b,c           run this subset (default: every table)
 //   --quick                  cheap CI subset (table1, table4, table5)
 //   --threads N              warmup fan-out threads (0 = one per hw thread)
-//   --store DIR              artifact store directory (also exported to
-//                            standalone children via BSCHED_ARTIFACT_DIR)
+//   --store DIR              artifact store directory
 //   --measure                forced-cold pass (disk reads off) then warm
 //                            pass (memory cleared, disk reads on); records
 //                            both and checks the outputs byte-identical
 //   --json PATH              suite JSON (default: BENCH_suite.json)
 //   --out-dir DIR            also write per-table <name>.txt / <name>.json
-//   --verify-standalone DIR  run DIR/bench_<name> per table, compare bytes
 //   --min-disk-hit-rate X    gate: warm-pass disk hit rate floor (measure)
 //   --min-warm-speedup X     gate: cold/warm wall-time floor (measure)
 //
@@ -45,8 +45,6 @@
 #include <string>
 #include <unordered_set>
 #include <vector>
-
-#include <stdlib.h>
 
 using namespace bsched;
 using namespace bsched::bench;
@@ -153,25 +151,13 @@ std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
-bool readProcessOutput(const std::string &Cmd, std::string &Out) {
-  Out.clear();
-  std::FILE *P = popen(Cmd.c_str(), "r");
-  if (!P)
-    return false;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), P)) > 0)
-    Out.append(Buf, N);
-  return pclose(P) == 0;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   std::vector<std::string> Selected;
   bool Quick = false, List = false, Measure = false;
   unsigned Threads = 0;
-  std::string StoreDir, JsonPath = "BENCH_suite.json", OutDir, VerifyDir;
+  std::string StoreDir, JsonPath = "BENCH_suite.json", OutDir;
   double MinDiskHitRate = 0.0, MinWarmSpeedup = 0.0;
 
   for (int I = 1; I != argc; ++I) {
@@ -191,8 +177,6 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--out-dir") && I + 1 != argc)
       OutDir = argv[++I];
-    else if (!std::strcmp(argv[I], "--verify-standalone") && I + 1 != argc)
-      VerifyDir = argv[++I];
     else if (!std::strcmp(argv[I], "--min-disk-hit-rate") && I + 1 != argc)
       MinDiskHitRate = std::atof(argv[++I]);
     else if (!std::strcmp(argv[I], "--min-warm-speedup") && I + 1 != argc)
@@ -238,11 +222,8 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (!StoreDir.empty()) {
+  if (!StoreDir.empty())
     driver::setArtifactStoreDir(StoreDir);
-    // Standalone children launched by --verify-standalone reuse the store.
-    ::setenv("BSCHED_ARTIFACT_DIR", StoreDir.c_str(), 1);
-  }
   if (Measure && !driver::artifactStoreEnabled()) {
     std::fprintf(stderr,
                  "--measure needs a persistent store: pass --store DIR or "
@@ -293,8 +274,7 @@ int main(int argc, char **argv) {
   }
   driver::ResultCacheStats CacheAfter = driver::resultCacheStats();
 
-  // Emit every table's captured bytes in order: the suite's stdout is the
-  // concatenation of the standalone binaries' outputs.
+  // Emit every table's captured bytes in order.
   for (const TableRun &TR : Tables)
     std::fwrite(TR.Output.data(), 1, TR.Output.size(), stdout);
 
@@ -309,25 +289,6 @@ int main(int argc, char **argv) {
                               static_cast<double>(WarmNs)
                         : 0.0);
   std::fprintf(stderr, "\n");
-
-  // --- Optional byte-identity check against the standalone binaries --------
-  bool VerifyFailed = false;
-  if (!VerifyDir.empty()) {
-    for (const TableRun &TR : Tables) {
-      std::string Cmd = VerifyDir + "/bench_" + TR.T.Name + " 2>/dev/null";
-      std::string Out;
-      if (!readProcessOutput(Cmd, Out) || Out != TR.Output) {
-        VerifyFailed = true;
-        std::fprintf(stderr,
-                     "SUITE VERIFY FAILED: %s standalone output differs "
-                     "(%zu vs %zu bytes)\n",
-                     TR.T.Name.c_str(), Out.size(), TR.Output.size());
-      } else {
-        std::fprintf(stderr, "suite verify: %s byte-identical (%zu bytes)\n",
-                     TR.T.Name.c_str(), Out.size());
-      }
-    }
-  }
 
   // --- Per-table artifacts --------------------------------------------------
   if (!OutDir.empty()) {
@@ -371,7 +332,7 @@ int main(int argc, char **argv) {
 
   if (std::FILE *J = std::fopen(JsonPath.c_str(), "w")) {
     std::fprintf(J, "{\n");
-    std::fprintf(J, "  \"version\": 1,\n");
+    std::fprintf(J, "  \"version\": 2,\n");
     std::fprintf(J, "  \"quick\": %s,\n", Quick ? "true" : "false");
     std::fprintf(J, "  \"measure\": %s,\n", Measure ? "true" : "false");
     std::fprintf(J, "  \"threads\": %u,\n", Threads);
@@ -427,15 +388,13 @@ int main(int argc, char **argv) {
                    static_cast<double>(WarmNs) / 1e6);
       std::fprintf(J, "  \"warm_speedup\": %.3f,\n", WarmSpeedup);
       std::fprintf(J, "  \"disk_hit_rate\": %.4f,\n", DiskHitRate);
-      std::fprintf(J, "  \"passes_identical\": %s,\n",
+      std::fprintf(J, "  \"passes_identical\": %s\n",
                    PassesIdentical ? "true" : "false");
     } else {
       StoreJson("store", ColdStore);
-      std::fprintf(J, "  \"wall_ms\": %.3f,\n",
+      std::fprintf(J, "  \"wall_ms\": %.3f\n",
                    static_cast<double>(ColdNs) / 1e6);
     }
-    std::fprintf(J, "  \"verified_standalone\": %s\n",
-                 !VerifyDir.empty() && !VerifyFailed ? "true" : "false");
     std::fprintf(J, "}\n");
     std::fclose(J);
   } else {
@@ -454,8 +413,6 @@ int main(int argc, char **argv) {
                  "SUITE GATE FAILED: cold and warm outputs differ\n");
     Rc = 1;
   }
-  if (VerifyFailed)
-    Rc = 1;
   if (Measure && MinDiskHitRate > 0 && DiskHitRate < MinDiskHitRate) {
     std::fprintf(stderr,
                  "SUITE GATE FAILED: disk hit rate %.3f < floor %.3f\n",

@@ -99,10 +99,9 @@ void encodeTrace(ByteWriter &W, const trace::TraceStats &S) {
   W.i64(S.LongestTrace);
   W.i64(S.CompensationBlocks);
   W.i64(S.CompensationInstrs);
-  W.u64(S.FormNs);
-  W.u64(S.CompactNs);
-  W.u64(S.WeightsNs);
-  W.u64(S.CompensationNs);
+  // The phase timers (FormNs, ...) are wall-clock measurements, not results:
+  // persisting them would give one job different bytes on every run. They
+  // decode as 0.
   W.u64(S.Formed.size());
   for (const trace::Trace &T : S.Formed) {
     W.u64(T.size());
@@ -116,10 +115,7 @@ bool decodeTrace(ByteReader &R, trace::TraceStats &S) {
   S.LongestTrace = static_cast<int>(R.i64());
   S.CompensationBlocks = static_cast<int>(R.i64());
   S.CompensationInstrs = static_cast<int>(R.i64());
-  S.FormNs = R.u64();
-  S.CompactNs = R.u64();
-  S.WeightsNs = R.u64();
-  S.CompensationNs = R.u64();
+  S.FormNs = S.CompactNs = S.WeightsNs = S.CompensationNs = 0;
   uint64_t NumTraces = R.u64();
   if (!R.canHold(NumTraces, 8))
     return false;

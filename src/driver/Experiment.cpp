@@ -111,7 +111,12 @@ std::string driver::resultKey(const Workload &W, const CompileOptions &Opts,
               : std::string("21164")) +
          "|w" + std::to_string(Machine.IssueWidth) + "|p" +
          std::to_string(Opts.Balance.PressureThreshold) +
-         (Opts.Balance.BalanceFixedOps ? "|bf" : "") + "|a" +
+         (Opts.Balance.BalanceFixedOps ? "|bf" : "") +
+         // Off-default ablation knobs only, so default keys never change.
+         (Opts.Balance.WeightCap != sched::BalanceOptions{}.WeightCap
+              ? "|wc" + fmtDoubleExact(Opts.Balance.WeightCap)
+              : "") +
+         (Opts.Balance.RespectHitAnnotations ? "" : "|nohit") + "|a" +
          std::to_string(Opts.RegAlloc.AllocatablePerClass) +
          // tag() already carries "+Est"; keep the explicit suffix
          // as belt-and-braces (the ProfileCache layer separates

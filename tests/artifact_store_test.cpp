@@ -6,8 +6,10 @@
 // points, single-bit flips anywhere in the file, stale schema versions,
 // file-name hash collisions (wrong embedded key), and concurrent writers —
 // and asserts each degrades to a counted miss followed by a successful
-// recompute that reproduces the undamaged result exactly. Runs under the
-// same ctest matrix as everything else, including the ASan configuration.
+// recompute that reproduces the undamaged result exactly. It also pins the
+// key material, driver::resultKey: options that change a result change the
+// key, and default options keep theirs. Runs under the same ctest matrix as
+// everything else, including the ASan configuration.
 //
 //===----------------------------------------------------------------------===//
 
@@ -255,7 +257,8 @@ TEST_F(ArtifactStoreTest, RunCachedRecomputesThroughCorruption) {
 TEST_F(ArtifactStoreTest, UndecodablePayloadDegradesToRecompute) {
   const Workload &W = workloads().front();
   CompileOptions Opts;
-  const RunResult &First = runCached(W, Opts);
+  // A copy: clearResultCache below frees the cached entry.
+  RunResult First = runCached(W, Opts);
   ASSERT_TRUE(First.ok());
 
   // Replace the entry with a VALID store file whose payload is garbage for
@@ -271,6 +274,36 @@ TEST_F(ArtifactStoreTest, UndecodablePayloadDegradesToRecompute) {
   ArtifactStoreStats S = artifactStoreStats();
   EXPECT_EQ(S.CorruptRejected, 1u); // noteArtifactDecodeFailure reclassified
   EXPECT_EQ(S.DiskHits, 0u);        // ...the provisional hit
+}
+
+/// resultKey is the store's key material and the suite's dedup key, so every
+/// option that changes a result must change it: each balanced-scheduler
+/// ablation knob gets a key of its own.
+TEST(ResultKey, AblationKnobsChangeTheKey) {
+  const Workload &W = workloads().front();
+  CompileOptions Cap, NoHits;
+  Cap.Balance.WeightCap = 8;
+  NoHits.Balance.RespectHitAnnotations = false;
+  std::string Base = resultKey(W, CompileOptions{});
+  EXPECT_NE(resultKey(W, Cap), Base);
+  EXPECT_NE(resultKey(W, NoHits), Base);
+  EXPECT_NE(resultKey(W, Cap), resultKey(W, NoHits));
+
+  Cap.Balance.WeightCap = 1e9;
+  EXPECT_NE(resultKey(W, Cap), Base);
+}
+
+/// ...while default options keep the keys they have always had, so no
+/// stored artifact is stranded and no suite dedup is split.
+TEST(ResultKey, DefaultOptionsKeepTheirKeys) {
+  const Workload &W = workloads().front();
+  EXPECT_EQ(resultKey(W, CompileOptions{}), "ARC2D|BS|21164|w1|p24|a28");
+
+  CompileOptions Bench;
+  Bench.UnrollFactor = 8;
+  Bench.LocalityAnalysis = true;
+  Bench.VerifyPasses = false;
+  EXPECT_EQ(resultKey(W, Bench), "ARC2D|BS+LA+LU8|21164|w1|p24|a28|nv");
 }
 
 /// Disk-tier results are indistinguishable from computed ones: same cycle

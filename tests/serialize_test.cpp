@@ -287,6 +287,36 @@ TEST(ArtifactRoundTrip, RunResultEndToEnd) {
   EXPECT_EQ(D.Trace.Traces, R.Trace.Traces);
 }
 
+/// The same trace-scheduled job encodes to the same bytes on every run: the
+/// trace phase timers are wall-clock measurements, so they stay out of the
+/// artifact and decode as 0.
+TEST(ArtifactRoundTrip, TraceScheduledRunEncodesIdentically) {
+  const Workload &Wl = workloads().front();
+  CompileOptions Opts;
+  Opts.UnrollFactor = 4;
+  Opts.TraceScheduling = true;
+  RunResult A = runWorkload(Wl, Opts);
+  RunResult B = runWorkload(Wl, Opts);
+  ASSERT_TRUE(A.ok()) << A.Error;
+  ASSERT_TRUE(B.ok()) << B.Error;
+  ASSERT_GT(A.Trace.Traces, 0);
+
+  ByteWriter WA, WB;
+  encode(WA, A);
+  encode(WB, B);
+  EXPECT_TRUE(WA.buffer() == WB.buffer())
+      << "one trace-scheduled job encoded to different bytes on two runs";
+
+  ByteReader Rd(WA.buffer());
+  RunResult D;
+  ASSERT_TRUE(decode(Rd, D));
+  EXPECT_EQ(D.Trace.FormNs, 0u);
+  EXPECT_EQ(D.Trace.CompactNs, 0u);
+  EXPECT_EQ(D.Trace.WeightsNs, 0u);
+  EXPECT_EQ(D.Trace.CompensationNs, 0u);
+  EXPECT_EQ(D.Trace.Formed, A.Trace.Formed);
+}
+
 TEST(ArtifactRoundTrip, TruncatedModuleFailsCleanly) {
   const Workload &Wl = workloads().front();
   lang::Program P = parseWorkload(Wl);

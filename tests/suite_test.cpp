@@ -1,17 +1,16 @@
 //===- tests/suite_test.cpp - Suite output byte-identity -------------------===//
 //
-// The suite runner's determinism contract, tested in-process on two
-// representative tables (Table 1 and Table 4, compiled here with their
-// standalone main()s suppressed): a table's run() bytes are invariant
+// The determinism contract of bsched-suite (`bsched-suite [--tables NAME]`,
+// the one entry point for the paper's tables), tested in-process on two
+// representative table sources (Table 1 and Table 4): a table's run() bytes
+// are invariant
 //
 //  * across thread counts of the warmup fan-out,
 //  * across cache tiers — freshly computed, memory-warm, and
 //    disk-warm (loaded back from a persistent store), and
 //  * across table order (deduplicated jobs shared between tables).
 //
-// bsched-suite --verify-standalone covers the same property against the
-// actual standalone binaries; this test pins it in the ctest matrix where
-// ASan/UBSan run.
+// Pinned in the ctest matrix so ASan/UBSan run it too.
 //
 //===----------------------------------------------------------------------===//
 
