@@ -42,6 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -59,6 +60,20 @@ uint64_t nowNs() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// CPU time of every thread of this process so far, in seconds.
+double processCpuS() {
+  timespec T{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &T);
+  return static_cast<double>(T.tv_sec) + static_cast<double>(T.tv_nsec) / 1e9;
+}
+
+/// Wall and CPU cost of one runPass, plus the oracle memo's counter moves.
+struct PassCost {
+  uint64_t WallNs = 0;
+  double CpuS = 0.0;
+  driver::OracleCacheStats Oracle;
+};
 
 std::vector<SuiteTable> allTables() {
   std::vector<SuiteTable> Tables;
@@ -114,10 +129,12 @@ std::vector<driver::ExperimentJob> collectJobs(std::vector<TableRun> &Tables,
 }
 
 /// One full pass: fan the deduped grid out on the pool, then assemble every
-/// table serially with stdout captured. Returns total wall nanoseconds.
-uint64_t runPass(std::vector<TableRun> &Tables,
+/// table serially with stdout captured.
+PassCost runPass(std::vector<TableRun> &Tables,
                  const std::vector<driver::ExperimentJob> &Unique,
                  unsigned Threads, bool &AnyFailed) {
+  driver::OracleCacheStats Oracle0 = driver::oracleCacheStats();
+  double Cpu0 = processCpuS();
   uint64_t T0 = nowNs();
   driver::runAll(Unique, Threads);
   for (TableRun &TR : Tables) {
@@ -129,7 +146,14 @@ uint64_t runPass(std::vector<TableRun> &Tables,
     if (TR.ExitCode != 0)
       AnyFailed = true;
   }
-  return nowNs() - T0;
+  PassCost C;
+  C.WallNs = nowNs() - T0;
+  C.CpuS = processCpuS() - Cpu0;
+  driver::OracleCacheStats Oracle1 = driver::oracleCacheStats();
+  C.Oracle.Evaluations = Oracle1.Evaluations - Oracle0.Evaluations;
+  C.Oracle.Hits = Oracle1.Hits - Oracle0.Hits;
+  C.Oracle.InFlightWaits = Oracle1.InFlightWaits - Oracle0.InFlightWaits;
+  return C;
 }
 
 void clearMemoryCaches() {
@@ -235,7 +259,7 @@ int main(int argc, char **argv) {
   std::vector<driver::ExperimentJob> Unique = collectJobs(Tables, TotalJobs);
 
   bool AnyFailed = false;
-  uint64_t ColdNs = 0, WarmNs = 0;
+  PassCost Cold, Warm;
   driver::ArtifactStoreStats ColdStore, WarmStore;
   driver::ResultCacheStats CacheBefore = driver::resultCacheStats();
   bool PassesIdentical = true;
@@ -247,7 +271,7 @@ int main(int argc, char **argv) {
     clearMemoryCaches();
     driver::resetArtifactStoreStats();
     driver::setArtifactStoreReads(false);
-    ColdNs = runPass(Tables, Unique, Threads, AnyFailed);
+    Cold = runPass(Tables, Unique, Threads, AnyFailed);
     ColdStore = driver::artifactStoreStats();
     for (TableRun &TR : Tables)
       ColdOutputs.push_back(std::move(TR.Output));
@@ -257,7 +281,7 @@ int main(int argc, char **argv) {
     clearMemoryCaches();
     driver::resetArtifactStoreStats();
     driver::setArtifactStoreReads(true);
-    WarmNs = runPass(Tables, Unique, Threads, AnyFailed);
+    Warm = runPass(Tables, Unique, Threads, AnyFailed);
     WarmStore = driver::artifactStoreStats();
 
     for (size_t I = 0; I != Tables.size(); ++I)
@@ -269,7 +293,7 @@ int main(int argc, char **argv) {
                      Tables[I].T.Name.c_str());
       }
   } else {
-    ColdNs = runPass(Tables, Unique, Threads, AnyFailed);
+    Cold = runPass(Tables, Unique, Threads, AnyFailed);
     ColdStore = driver::artifactStoreStats();
   }
   driver::ResultCacheStats CacheAfter = driver::resultCacheStats();
@@ -281,14 +305,17 @@ int main(int argc, char **argv) {
   size_t Saved = TotalJobs - Unique.size();
   std::fprintf(stderr, "suite: %zu tables, %zu jobs, %zu unique (%zu deduped)",
                Tables.size(), TotalJobs, Unique.size(), Saved);
+  std::fprintf(stderr, ", cold %.2fs (cpu %.2fs)",
+               static_cast<double>(Cold.WallNs) / 1e9, Cold.CpuS);
   if (Measure)
-    std::fprintf(stderr, ", cold %.2fs, warm %.2fs (%.1fx)",
-                 static_cast<double>(ColdNs) / 1e9,
-                 static_cast<double>(WarmNs) / 1e9,
-                 WarmNs ? static_cast<double>(ColdNs) /
-                              static_cast<double>(WarmNs)
-                        : 0.0);
-  std::fprintf(stderr, "\n");
+    std::fprintf(stderr, ", warm %.2fs (cpu %.2fs, %.1fx)",
+                 static_cast<double>(Warm.WallNs) / 1e9, Warm.CpuS,
+                 Warm.WallNs ? static_cast<double>(Cold.WallNs) /
+                                   static_cast<double>(Warm.WallNs)
+                             : 0.0);
+  std::fprintf(stderr, ", %llu oracle evaluations\n",
+               static_cast<unsigned long long>(Cold.Oracle.Evaluations +
+                                               Warm.Oracle.Evaluations));
 
   // --- Per-table artifacts --------------------------------------------------
   if (!OutDir.empty()) {
@@ -319,8 +346,8 @@ int main(int argc, char **argv) {
 
   // --- Suite JSON -----------------------------------------------------------
   double WarmSpeedup =
-      (Measure && WarmNs)
-          ? static_cast<double>(ColdNs) / static_cast<double>(WarmNs)
+      (Measure && Warm.WallNs)
+          ? static_cast<double>(Cold.WallNs) / static_cast<double>(Warm.WallNs)
           : 0.0;
   uint64_t WarmReads = WarmStore.DiskHits + WarmStore.DiskMisses +
                        WarmStore.CorruptRejected + WarmStore.VersionRejected +
@@ -332,7 +359,7 @@ int main(int argc, char **argv) {
 
   if (std::FILE *J = std::fopen(JsonPath.c_str(), "w")) {
     std::fprintf(J, "{\n");
-    std::fprintf(J, "  \"version\": 2,\n");
+    std::fprintf(J, "  \"version\": 3,\n");
     std::fprintf(J, "  \"quick\": %s,\n", Quick ? "true" : "false");
     std::fprintf(J, "  \"measure\": %s,\n", Measure ? "true" : "false");
     std::fprintf(J, "  \"threads\": %u,\n", Threads);
@@ -379,21 +406,35 @@ int main(int argc, char **argv) {
                    static_cast<unsigned long long>(S.VersionRejected),
                    static_cast<unsigned long long>(S.KeyRejected));
     };
+    auto OracleJson = [&](const char *Name, const driver::OracleCacheStats &S) {
+      std::fprintf(J,
+                   "  \"%s\": {\"evaluations\": %llu, \"hits\": %llu, "
+                   "\"in_flight_waits\": %llu},\n",
+                   Name, static_cast<unsigned long long>(S.Evaluations),
+                   static_cast<unsigned long long>(S.Hits),
+                   static_cast<unsigned long long>(S.InFlightWaits));
+    };
     if (Measure) {
       StoreJson("store_cold", ColdStore);
       StoreJson("store_warm", WarmStore);
+      OracleJson("oracle_cold", Cold.Oracle);
+      OracleJson("oracle_warm", Warm.Oracle);
       std::fprintf(J, "  \"cold_ms\": %.3f,\n",
-                   static_cast<double>(ColdNs) / 1e6);
+                   static_cast<double>(Cold.WallNs) / 1e6);
+      std::fprintf(J, "  \"cold_cpu_s\": %.3f,\n", Cold.CpuS);
       std::fprintf(J, "  \"warm_ms\": %.3f,\n",
-                   static_cast<double>(WarmNs) / 1e6);
+                   static_cast<double>(Warm.WallNs) / 1e6);
+      std::fprintf(J, "  \"warm_cpu_s\": %.3f,\n", Warm.CpuS);
       std::fprintf(J, "  \"warm_speedup\": %.3f,\n", WarmSpeedup);
       std::fprintf(J, "  \"disk_hit_rate\": %.4f,\n", DiskHitRate);
       std::fprintf(J, "  \"passes_identical\": %s\n",
                    PassesIdentical ? "true" : "false");
     } else {
       StoreJson("store", ColdStore);
-      std::fprintf(J, "  \"wall_ms\": %.3f\n",
-                   static_cast<double>(ColdNs) / 1e6);
+      OracleJson("oracle", Cold.Oracle);
+      std::fprintf(J, "  \"wall_ms\": %.3f,\n",
+                   static_cast<double>(Cold.WallNs) / 1e6);
+      std::fprintf(J, "  \"cpu_s\": %.3f\n", Cold.CpuS);
     }
     std::fprintf(J, "}\n");
     std::fclose(J);

@@ -18,12 +18,83 @@
 using namespace bsched;
 using namespace bsched::driver;
 
+namespace {
+
+/// The oracle's statement budget for experiment runs. It is part of the
+/// memo key: a result evaluated under one budget says nothing about another.
+constexpr uint64_t OracleMaxStmts = 500000000ull;
+
+/// One memoized result, of a run or of an oracle evaluation. The once_flag
+/// serializes concurrent computations of the same key without holding the
+/// map's mutex: that mutex only guards slot creation, and the first caller
+/// to reach call_once computes while later callers for that key block on
+/// the flag (not on the mutex).
+template <typename T> struct CacheEntry {
+  std::once_flag Once;
+  std::atomic<bool> Done{false}; ///< stats-only: distinguishes hit from wait.
+  T R;
+};
+
+/// A whole suite has 17 distinct programs, so one map and one mutex suffice.
+/// Slots are shared_ptr-held so clearResultCache can drop the map while a
+/// caller is still evaluating or waiting.
+struct OracleMemo {
+  std::mutex Mu;
+  std::unordered_map<std::string,
+                     std::shared_ptr<CacheEntry<lang::EvalResult>>>
+      Map;
+  OracleCacheStats Stats;
+};
+
+OracleMemo &oracleMemo() {
+  static OracleMemo M;
+  return M;
+}
+
+/// lang::evalProgram(P, OracleMaxStmts), evaluated once per distinct
+/// (source bytes, budget) per process. \p P must be W's parsed source. The
+/// key is the source, never W.Name: two workloads may share a name.
+lang::EvalResult oracleResult(const Workload &W, const lang::Program &P) {
+  // Source is a C string, so the NUL cannot occur inside it.
+  std::string Key = W.Source;
+  Key += '\0';
+  Key += std::to_string(OracleMaxStmts);
+  OracleMemo &M = oracleMemo();
+  std::shared_ptr<CacheEntry<lang::EvalResult>> Entry;
+  {
+    std::lock_guard<std::mutex> Lock(M.Mu);
+    auto &Slot = M.Map[Key];
+    if (!Slot) {
+      Slot = std::make_shared<CacheEntry<lang::EvalResult>>();
+      ++M.Stats.Evaluations;
+    } else if (Slot->Done.load(std::memory_order_acquire)) {
+      ++M.Stats.Hits;
+    } else {
+      ++M.Stats.InFlightWaits;
+    }
+    Entry = Slot;
+  }
+  std::call_once(Entry->Once, [&] {
+    Entry->R = lang::evalProgram(P, OracleMaxStmts);
+    Entry->Done.store(true, std::memory_order_release);
+  });
+  return Entry->R;
+}
+
+} // namespace
+
+OracleCacheStats driver::oracleCacheStats() {
+  OracleMemo &M = oracleMemo();
+  std::lock_guard<std::mutex> Lock(M.Mu);
+  return M.Stats;
+}
+
 RunResult driver::runWorkload(const Workload &W, const CompileOptions &Opts,
                               const sim::MachineConfig &Machine) {
   RunResult R;
 
   lang::Program P = parseWorkload(W);
-  lang::EvalResult Ref = lang::evalProgram(P);
+  lang::EvalResult Ref = oracleResult(W, P);
   if (!Ref.ok()) {
     R.Error = std::string(W.Name) + ": oracle: " + Ref.Error;
     return R;
@@ -59,16 +130,6 @@ RunResult driver::runWorkload(const Workload &W, const CompileOptions &Opts,
 
 namespace {
 
-/// One memoized run. The once_flag serializes concurrent computations of
-/// the same key without holding its shard locked: the shard mutex only
-/// guards slot creation, and the first caller to reach call_once computes
-/// while later callers for that key block on the flag (not on the shard).
-struct CacheEntry {
-  std::once_flag Once;
-  std::atomic<bool> Done{false}; ///< stats-only: distinguishes hit from wait.
-  RunResult R;
-};
-
 /// The result cache is sharded by key hash so workers running unrelated
 /// jobs never touch the same mutex: with one global lock, every compile of
 /// a batched sweep paid a serialized lookup, which dominated wall time once
@@ -77,7 +138,7 @@ struct CacheEntry {
 /// grows or rehashes: callers hold them across many later runCached calls.
 struct ResultShard {
   std::mutex Mu;
-  std::unordered_map<std::string, std::unique_ptr<CacheEntry>> Map;
+  std::unordered_map<std::string, std::unique_ptr<CacheEntry<RunResult>>> Map;
   ResultCacheStats Stats;
 };
 
@@ -135,6 +196,9 @@ void driver::clearResultCache() {
     std::lock_guard<std::mutex> Lock(S.Mu);
     S.Map.clear();
   }
+  OracleMemo &M = oracleMemo();
+  std::lock_guard<std::mutex> Lock(M.Mu);
+  M.Map.clear();
 }
 
 const RunResult &driver::runCached(const Workload &W,
@@ -143,12 +207,12 @@ const RunResult &driver::runCached(const Workload &W,
   std::string Key = resultKey(W, Opts, Machine);
   size_t Hash = std::hash<std::string>{}(Key);
   ResultShard &S = resultShards()[(Hash ^ (Hash >> 32)) & (NumResultShards - 1)];
-  CacheEntry *Entry;
+  CacheEntry<RunResult> *Entry;
   {
     std::lock_guard<std::mutex> Lock(S.Mu);
-    std::unique_ptr<CacheEntry> &Slot = S.Map[Key];
+    std::unique_ptr<CacheEntry<RunResult>> &Slot = S.Map[Key];
     if (!Slot) {
-      Slot = std::make_unique<CacheEntry>();
+      Slot = std::make_unique<CacheEntry<RunResult>>();
       ++S.Stats.Misses;
     } else if (Slot->Done.load(std::memory_order_acquire)) {
       ++S.Stats.Hits;

@@ -39,6 +39,11 @@ struct RunResult {
 /// Compiles and simulates \p W under \p Opts on \p Machine. The simulated
 /// checksum is verified against the AST evaluator; a mismatch is an error
 /// (an experiment must never report numbers from a miscompiled program).
+///
+/// The evaluator runs once per distinct source text per process (the memo is
+/// keyed on W.Source and the evaluation budget, never on W.Name, and
+/// clearResultCache drops it); every job still compares its own simulated
+/// checksum against that result and builds its own error text.
 RunResult runWorkload(const Workload &W, const CompileOptions &Opts,
                       const sim::MachineConfig &Machine = {});
 
@@ -67,10 +72,11 @@ std::string resultKey(const Workload &W, const CompileOptions &Opts,
 const RunResult &runCached(const Workload &W, const CompileOptions &Opts,
                            const sim::MachineConfig &Machine = {});
 
-/// Empties every shard of the in-memory result cache. All references
-/// previously returned by runCached/runAll become dangling — callers are
-/// the suite runner (between its cold and warm measurement passes) and
-/// tests, which drop their results first. Must not race with runCached.
+/// Empties every shard of the in-memory result cache and runWorkload's
+/// oracle memo. All references previously returned by runCached/runAll
+/// become dangling — callers are the suite runner (between its cold and
+/// warm measurement passes) and tests, which drop their results first.
+/// Must not race with runCached.
 void clearResultCache();
 
 /// runCached observability, aggregated over shards. Hits found a completed
@@ -82,6 +88,16 @@ struct ResultCacheStats {
   uint64_t InFlightWaits = 0;
 };
 ResultCacheStats resultCacheStats();
+
+/// runWorkload's oracle memo. Evaluations ran lang::evalProgram, Hits found
+/// a finished evaluation of the same source, InFlightWaits blocked on one
+/// another thread was running. Counts survive clearResultCache.
+struct OracleCacheStats {
+  uint64_t Evaluations = 0;
+  uint64_t Hits = 0;
+  uint64_t InFlightWaits = 0;
+};
+OracleCacheStats oracleCacheStats();
 
 /// One (workload, configuration, machine) cell of an experiment.
 struct ExperimentJob {

@@ -57,10 +57,14 @@ JobResult runJob(uint64_t Seed, const std::vector<lang::Program> &Corpus,
   const int Steps =
       1 + static_cast<int>(Rng.nextBelow(
               static_cast<uint64_t>(std::max(1, Opts.MutationsPerJob))));
+  // The last accepted mutant's evaluation is the oracle's reference result;
+  // with no accepted mutation the oracle evaluates the program itself.
+  lang::EvalResult Eval;
+  bool Accepted = false;
   for (int I = 0; I != Steps; ++I)
-    if (mutateProgram(R.P, Rng, Opts.Mutate, &R.Mutations))
-      R.Mutated = true;
-  R.Run = runOracle(R.P, Opts.Oracle);
+    if (mutateProgram(R.P, Rng, Opts.Mutate, &R.Mutations, &Eval))
+      R.Mutated = Accepted = true;
+  R.Run = runOracle(R.P, Opts.Oracle, Accepted ? &Eval : nullptr);
   return R;
 }
 

@@ -381,8 +381,8 @@ bool applyMutation(MutationKind K, Program &P, RNG &Rng,
 
 } // namespace
 
-std::string fuzz::validateProgram(const lang::Program &P,
-                                  uint64_t EvalBudget) {
+std::string fuzz::validateProgram(const lang::Program &P, uint64_t EvalBudget,
+                                  lang::EvalResult *Eval) {
   // Check a copy (checkProgram mutates: name resolution + conversions).
   Program Checked = P;
   if (std::string E = checkProgram(Checked); !E.empty())
@@ -399,20 +399,24 @@ std::string fuzz::validateProgram(const lang::Program &P,
   lang::EvalResult Ev = lang::evalProgram(Checked, EvalBudget);
   if (!Ev.ok())
     return "eval: " + Ev.Error;
+  if (Eval)
+    *Eval = std::move(Ev);
   return "";
 }
 
 std::optional<MutationKind> fuzz::mutateProgram(lang::Program &P, RNG &Rng,
                                                 const MutateOptions &Opts,
-                                                MutationCounts *Counts) {
+                                                MutationCounts *Counts,
+                                                lang::EvalResult *Eval) {
   for (int Attempt = 0; Attempt != Opts.Attempts; ++Attempt) {
     auto K = static_cast<MutationKind>(
         Rng.nextBelow(static_cast<uint64_t>(NumMutationKinds)));
     Program Cand = P;
     if (!applyMutation(K, Cand, Rng, Opts))
       continue;
+    lang::EvalResult Ev;
     if (lang::estimateCost(Cand.Body) > Opts.MaxCost ||
-        !validateProgram(Cand, Opts.EvalBudget).empty()) {
+        !validateProgram(Cand, Opts.EvalBudget, &Ev).empty()) {
       if (Counts)
         ++Counts->Rejected;
       continue;
@@ -429,6 +433,8 @@ std::optional<MutationKind> fuzz::mutateProgram(lang::Program &P, RNG &Rng,
       continue; // unreachable given validation, but never commit unchecked
     }
     P = std::move(Cand);
+    if (Eval)
+      *Eval = std::move(Ev);
     if (Counts)
       ++Counts->Applied[static_cast<int>(K)];
     return K;

@@ -22,6 +22,7 @@
 #define BALSCHED_FUZZ_MUTATE_H
 
 #include "lang/AST.h"
+#include "lang/Eval.h"
 #include "support/RNG.h"
 
 #include <cstdint>
@@ -65,15 +66,20 @@ struct MutationCounts {
 
 /// Applies one valid mutation to \p P in place, drawing randomness from
 /// \p Rng. Returns the mutation kind applied, or std::nullopt if no valid
-/// mutant was found within Opts.Attempts (P is then unchanged).
+/// mutant was found within Opts.Attempts (P is then unchanged). On success
+/// \p Eval (if given) receives the validity gate's evaluation of the new P,
+/// so the oracle need not evaluate it again.
 std::optional<MutationKind> mutateProgram(lang::Program &P, RNG &Rng,
                                           const MutateOptions &Opts = {},
-                                          MutationCounts *Counts = nullptr);
+                                          MutationCounts *Counts = nullptr,
+                                          lang::EvalResult *Eval = nullptr);
 
 /// The validity gate mutateProgram enforces; exposed so tests and the
 /// reducer can apply the same contract. Returns an empty string when \p P
 /// checks, reparses and evaluates in bounds, otherwise the first diagnostic.
-std::string validateProgram(const lang::Program &P, uint64_t EvalBudget);
+/// On success \p Eval (if given) receives the evaluation of checked \p P.
+std::string validateProgram(const lang::Program &P, uint64_t EvalBudget,
+                            lang::EvalResult *Eval = nullptr);
 
 } // namespace fuzz
 } // namespace bsched

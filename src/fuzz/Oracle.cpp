@@ -335,7 +335,8 @@ Failure simOracle(const ir::Module &M, uint64_t RefChecksum,
 } // namespace
 
 OracleRun fuzz::runOracle(const lang::Program &Input,
-                          const OracleOptions &Opts) {
+                          const OracleOptions &Opts,
+                          const lang::EvalResult *Known) {
   OracleRun Run;
   const std::vector<driver::CompileOptions> Configs =
       Opts.Configs.empty() ? differentialCompileConfigs() : Opts.Configs;
@@ -352,7 +353,11 @@ OracleRun fuzz::runOracle(const lang::Program &Input,
     return Run;
   }
 
-  lang::EvalResult Ref = lang::evalProgram(P, Opts.EvalBudget);
+  // A finished evaluation is the same under any budget it fits in.
+  lang::EvalResult Ref =
+      Known && Known->ok() && Known->StmtCount <= Opts.EvalBudget
+          ? *Known
+          : lang::evalProgram(P, Opts.EvalBudget);
   if (!Ref.ok()) {
     Run.Failures.push_back(
         fail(FailureKind::EvalError, "", -1, "", Ref.Error));

@@ -28,6 +28,7 @@
 #include "fuzz/Coverage.h"
 #include "fuzz/Repro.h"
 #include "lang/AST.h"
+#include "lang/Eval.h"
 #include "sched/Exact.h"
 
 #include <cstdint>
@@ -124,8 +125,12 @@ struct OracleRun {
   bool clean() const { return Failures.empty(); }
 };
 
-/// Runs the full differential oracle on \p P.
-OracleRun runOracle(const lang::Program &P, const OracleOptions &Opts = {});
+/// Runs the full differential oracle on \p P. \p Known, if given, is an
+/// earlier lang::evalProgram result for this same checked program (the
+/// mutator's validity gate); it stands in for the oracle's own evaluation
+/// when it finished within Opts.EvalBudget.
+OracleRun runOracle(const lang::Program &P, const OracleOptions &Opts = {},
+                    const lang::EvalResult *Known = nullptr);
 
 /// Runs only the compile-side oracle for one configuration (used by the
 /// reducer's predicate, where re-sweeping every config per candidate would

@@ -3,19 +3,25 @@
 // Stress tests for the batched, sharded compile service (driver/Experiment,
 // driver/ProfileCache, ThreadPool chunked dispatch): many threads hammering
 // overlapping keys must produce pointer-stable results, never recompute a
-// completed key, and return results byte-identical to a 1-thread run.
+// completed key, and return results byte-identical to a 1-thread run. The
+// runWorkload oracle memo must evaluate each distinct source once, never
+// share a result between sources, and leave every job its own error text.
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/Artifacts.h"
 #include "driver/Experiment.h"
 #include "driver/ProfileCache.h"
 #include "driver/Workloads.h"
+#include "lang/Eval.h"
 #include "lower/Lower.h"
 #include "opt/Cleanup.h"
+#include "support/Serialize.h"
 #include "support/ThreadPool.h"
 #include "trace/EstimateProfile.h"
 
 #include <gtest/gtest.h>
+#include <string>
 #include <vector>
 
 using namespace bsched;
@@ -52,6 +58,34 @@ std::vector<ExperimentJob> tenantJobs() {
   }
   return Jobs;
 }
+
+/// A RunResult's artifact bytes: the whole result, field for field.
+std::string resultBytes(const RunResult &R) {
+  ByteWriter W;
+  encode(W, R);
+  return W.buffer();
+}
+
+/// A balanced-scheduling configuration distinguished by \p Threshold.
+CompileOptions balancedAt(int Threshold) {
+  CompileOptions O;
+  O.Scheduler = sched::SchedulerKind::Balanced;
+  O.Balance.PressureThreshold = Threshold;
+  return O;
+}
+
+/// Oracle-memo counter moves since \p Before.
+OracleCacheStats oracleDelta(const OracleCacheStats &Before) {
+  OracleCacheStats Now = oracleCacheStats();
+  return {Now.Evaluations - Before.Evaluations, Now.Hits - Before.Hits,
+          Now.InFlightWaits - Before.InFlightWaits};
+}
+
+/// Parses and checks, but every evaluation steps outside A.
+const char *OutOfBoundsSrc = R"(
+array A[8] output;
+for (i = 0; i < 9; i += 1) { A[i] = i; }
+)";
 
 } // namespace
 
@@ -220,4 +254,96 @@ TEST(CompileService, ProfileCacheSurvivesEviction) {
   uint64_t Expect = ir::interpret(M).Checksum;
   for (uint64_t C : Checksums)
     EXPECT_EQ(C, Expect);
+}
+
+// Two jobs of one program through runAll evaluate that program once; both
+// jobs still pass their own checksum comparison.
+TEST(OracleMemo, OneEvaluationPerProgramThroughRunAll) {
+  const Workload &W = workloads()[0];
+  std::vector<ExperimentJob> Jobs = {{&W, balancedAt(71), {}},
+                                     {&W, balancedAt(72), {}}};
+  clearResultCache();
+  OracleCacheStats Before = oracleCacheStats();
+  std::vector<const RunResult *> Rs = runAll(Jobs, 2);
+  OracleCacheStats D = oracleDelta(Before);
+  EXPECT_EQ(D.Evaluations, 1u);
+  EXPECT_EQ(D.Hits + D.InFlightWaits, 1u);
+  for (const RunResult *R : Rs)
+    EXPECT_TRUE(R->ok()) << R->Error;
+}
+
+// The memo keys on source text, not name: two workloads that share a name
+// but not a source are evaluated separately and each simulated checksum
+// matches its own program. (runCached keys on the name, so this calls
+// runWorkload directly.)
+TEST(OracleMemo, SameNameDifferentSourceNeverShares) {
+  Workload A = workloads()[0];
+  Workload B = workloads()[1];
+  B.Name = A.Name;
+  clearResultCache();
+  OracleCacheStats Before = oracleCacheStats();
+  RunResult RA = runWorkload(A, balancedAt(73));
+  RunResult RB = runWorkload(B, balancedAt(73));
+  EXPECT_EQ(oracleDelta(Before).Evaluations, 2u);
+  ASSERT_TRUE(RA.ok()) << RA.Error;
+  ASSERT_TRUE(RB.ok()) << RB.Error;
+  EXPECT_EQ(RA.Sim.Checksum,
+            lang::evalProgram(parseWorkload(A)).Checksum);
+  EXPECT_EQ(RB.Sim.Checksum,
+            lang::evalProgram(parseWorkload(B)).Checksum);
+  EXPECT_NE(RA.Sim.Checksum, RB.Sim.Checksum);
+}
+
+// Eight threads running many configurations of one program evaluate it
+// once, and every result is byte-equal to a run that evaluated afresh.
+TEST(OracleMemo, HammerEvaluatesOnceAndMatchesFreshRuns) {
+  const Workload &W = *findWorkload("tomcatv");
+  constexpr int Configs = 4;
+  constexpr size_t Repeat = 6;
+  clearResultCache();
+  OracleCacheStats Before = oracleCacheStats();
+  std::vector<std::string> Bytes(Configs * Repeat);
+  ThreadPool::parallelForChunked(
+      8, Bytes.size(),
+      [&](size_t I) {
+        Bytes[I] = resultBytes(runWorkload(W, balancedAt(81 + I % Configs)));
+      },
+      ChunkPolicy::Guided);
+  OracleCacheStats D = oracleDelta(Before);
+  EXPECT_EQ(D.Evaluations, 1u);
+  EXPECT_EQ(D.Hits + D.InFlightWaits, Bytes.size() - 1);
+
+  for (int C = 0; C != Configs; ++C) {
+    clearResultCache(); // the next runWorkload evaluates the source again.
+    RunResult Fresh = runWorkload(W, balancedAt(81 + C));
+    ASSERT_TRUE(Fresh.ok()) << Fresh.Error;
+    EXPECT_EQ(Fresh.Sim.Checksum,
+              lang::evalProgram(parseWorkload(W)).Checksum);
+    std::string Expect = resultBytes(Fresh);
+    for (size_t I = C; I < Bytes.size(); I += Configs)
+      EXPECT_EQ(Bytes[I], Expect) << "request " << I;
+  }
+}
+
+// A program the evaluator rejects: the one memoized failure reaches every
+// job, each with its own "<name>: oracle:" error text.
+TEST(OracleMemo, EvaluationFailureReachesEveryJob) {
+  Workload A{"oob_a", "C", "out of bounds", "fails the oracle",
+             OutOfBoundsSrc};
+  Workload B = A;
+  B.Name = "oob_b";
+  clearResultCache();
+  OracleCacheStats Before = oracleCacheStats();
+  std::vector<ExperimentJob> Jobs = {{&A, balancedAt(91), {}},
+                                     {&A, balancedAt(92), {}},
+                                     {&B, balancedAt(91), {}}};
+  std::vector<const RunResult *> Rs = runAll(Jobs, 3);
+  EXPECT_EQ(oracleDelta(Before).Evaluations, 1u);
+  for (size_t I = 0; I != Jobs.size(); ++I) {
+    std::string Prefix = std::string(Jobs[I].W->Name) + ": oracle: ";
+    EXPECT_EQ(Rs[I]->Error.rfind(Prefix, 0), 0u)
+        << "job " << I << ": " << Rs[I]->Error;
+    EXPECT_NE(Rs[I]->Error.find("out of bounds"), std::string::npos)
+        << Rs[I]->Error;
+  }
 }

@@ -63,6 +63,30 @@ TEST(Mutator, ThousandStepsStayValid) {
   }
 }
 
+// The evaluation mutateProgram hands out for an accepted mutant is the one
+// runOracle would compute itself: evaluating a freshly checked copy of the
+// committed program gives the same checksum and statement count.
+TEST(Mutator, AcceptedMutantEvalMatchesOracleEvaluation) {
+  MutateOptions MO;
+  for (uint64_t Seed = 0; Seed != 5; ++Seed) {
+    lang::Program P = lang::generateProgram(Seed);
+    RNG Rng(Seed * 31 + 3);
+    for (int Step = 0; Step != 40; ++Step) {
+      lang::EvalResult Eval;
+      if (!mutateProgram(P, Rng, MO, nullptr, &Eval))
+        continue;
+      lang::Program Checked = P;
+      ASSERT_EQ(lang::checkProgram(Checked), "");
+      lang::EvalResult Fresh = lang::evalProgram(Checked);
+      ASSERT_TRUE(Eval.ok()) << Eval.Error;
+      EXPECT_EQ(Eval.Checksum, Fresh.Checksum)
+          << "seed " << Seed << " step " << Step;
+      EXPECT_EQ(Eval.StmtCount, Fresh.StmtCount)
+          << "seed " << Seed << " step " << Step;
+    }
+  }
+}
+
 TEST(Mutator, DeterministicForSeed) {
   for (uint64_t Seed : {1ull, 7ull, 23ull}) {
     lang::Program A = lang::generateProgram(Seed);
