@@ -1,9 +1,9 @@
 //===- bench/BenchCommon.h - Shared helpers for the table benches -*- C++ -*-===//
 ///
 /// \file
-/// Helpers shared by the bsched-suite table sources: configuration
-/// constructors, the per-benchmark run loop with failure reporting, and
-/// printf-free table emission.
+/// Helpers shared by the bsched-suite table sources and the throughput
+/// trackers: configuration constructors, the per-benchmark run loop with
+/// failure reporting, printf-free table emission, and wall-clock timing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,11 +14,34 @@
 #include "support/Str.h"
 #include "support/Table.h"
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
 namespace bsched {
 namespace bench {
+
+/// Monotonic wall clock, in nanoseconds.
+inline uint64_t nowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// Best-of-\p Reps wall time of \p Fn, in nanoseconds (the minimum absorbs
+/// scheduler noise).
+template <typename FnT> uint64_t bestOf(int Reps, FnT Fn) {
+  uint64_t Best = ~0ull;
+  for (int R = 0; R != Reps; ++R) {
+    uint64_t T0 = nowNs();
+    Fn();
+    Best = std::min(Best, nowNs() - T0);
+  }
+  return Best;
+}
 
 inline driver::CompileOptions
 makeOptions(sched::SchedulerKind Kind, int Unroll = 1, bool TrS = false,

@@ -46,12 +46,12 @@
 #include "lower/Lower.h"
 #include "opt/Cleanup.h"
 #include "support/RNG.h"
+#include "support/Serialize.h"
 #include "support/Str.h"
 #include "support/ThreadPool.h"
 #include "xform/Unroll.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,27 +63,10 @@
 #include <vector>
 
 using namespace bsched;
+using namespace bsched::bench;
 using namespace bsched::driver;
 
 namespace {
-
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Best-of-\p Reps wall time of \p Fn, in nanoseconds.
-template <typename FnT> uint64_t bestOf(int Reps, FnT Fn) {
-  uint64_t Best = ~0ull;
-  for (int R = 0; R != Reps; ++R) {
-    uint64_t T0 = nowNs();
-    Fn();
-    Best = std::min(Best, nowNs() - T0);
-  }
-  return Best;
-}
 
 struct BenchConfig {
   int Unroll;
@@ -108,26 +91,11 @@ unsigned countInstrs(const ir::Module &M) {
   return N;
 }
 
-/// FNV-1a accumulator for the determinism cross-checks.
-class Fnv {
-public:
-  void word(uint64_t V) {
-    for (int I = 0; I != 8; ++I) {
-      H ^= (V >> (8 * I)) & 0xff;
-      H *= 1099511628211ull;
-    }
-  }
-  uint64_t get() const { return H; }
-
-private:
-  uint64_t H = 1469598103934665603ull;
-};
-
 /// Digest of everything the compiled module's consumers can observe — the
 /// full instruction stream — so "byte-identical across thread counts" is
 /// checked on substance, not on a summary statistic.
 uint64_t moduleDigest(const ir::Module &M) {
-  Fnv H;
+  Fnv1a H;
   H.word(M.Fn.Blocks.size());
   for (const ir::BasicBlock &B : M.Fn.Blocks) {
     H.word(B.Instrs.size());
@@ -149,7 +117,7 @@ uint64_t moduleDigest(const ir::Module &M) {
 /// Combines per-request digests in request order: equal result vectors give
 /// equal combined digests regardless of which worker produced each entry.
 uint64_t combineDigests(const std::vector<uint64_t> &Ds) {
-  Fnv H;
+  Fnv1a H;
   for (uint64_t D : Ds)
     H.word(D);
   return H.get();
@@ -456,7 +424,7 @@ SustainedResult runSustained(bool Quick, unsigned MaxThreads) {
   auto Exec = [&](const Request &Q) -> uint64_t {
     if (Q.Kind == Request::Hit) {
       const driver::RunResult &R = driver::runCached(Ws[Q.WIdx], Q.Opts);
-      Fnv H;
+      Fnv1a H;
       H.word(R.Sim.Cycles);
       H.word(R.Sim.Checksum);
       return H.get();
@@ -472,9 +440,11 @@ SustainedResult runSustained(bool Quick, unsigned MaxThreads) {
 
   std::vector<uint64_t> Digests(NumRequests);
   uint64_t BaseDigest = 0;
+  driver::ProfileCacheStats ProfileBefore;
   for (unsigned T = 1; T <= MaxThreads; T *= 2) {
     // Identical cold/warm profile pattern for every replay.
     driver::clearProfileCache();
+    ProfileBefore = driver::profileCacheStats();
     uint64_t T0 = nowNs();
     ThreadPool::parallelForChunked(
         T, NumRequests, [&](size_t I) { Digests[I] = Exec(Reqs[I]); },
@@ -512,7 +482,7 @@ SustainedResult runSustained(bool Quick, unsigned MaxThreads) {
       Out.RunAllIdentical = false;
 
   Out.ResultCache = driver::resultCacheStats();
-  Out.ProfileCache = driver::profileCacheStats();
+  Out.ProfileCache = driver::profileCacheStats() - ProfileBefore;
   return Out;
 }
 

@@ -20,13 +20,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
+
 #include "driver/Compiler.h"
 #include "driver/Workloads.h"
 #include "sched/DepDAG.h"
 #include "sched/Exact.h"
 #include "support/Str.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,17 +37,11 @@
 #include <vector>
 
 using namespace bsched;
+using namespace bsched::bench;
 using namespace bsched::driver;
 using namespace bsched::sched;
 
 namespace {
-
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// One machine-model axis point: the exact model's load-to-use latency.
 struct ModelPoint {

@@ -32,13 +32,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "Suite.h"
 
 #include "driver/ArtifactStore.h"
 #include "driver/ProfileCache.h"
 #include "support/Serialize.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,13 +53,6 @@ using namespace bsched::bench;
 BSCHED_SUITE_ALL_TABLES(BSCHED_SUITE_DECLARE)
 
 namespace {
-
-uint64_t nowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// CPU time of every thread of this process so far, in seconds.
 double processCpuS() {
@@ -149,10 +142,7 @@ PassCost runPass(std::vector<TableRun> &Tables,
   PassCost C;
   C.WallNs = nowNs() - T0;
   C.CpuS = processCpuS() - Cpu0;
-  driver::OracleCacheStats Oracle1 = driver::oracleCacheStats();
-  C.Oracle.Evaluations = Oracle1.Evaluations - Oracle0.Evaluations;
-  C.Oracle.Hits = Oracle1.Hits - Oracle0.Hits;
-  C.Oracle.InFlightWaits = Oracle1.InFlightWaits - Oracle0.InFlightWaits;
+  C.Oracle = driver::oracleCacheStats() - Oracle0;
   return C;
 }
 
@@ -296,7 +286,7 @@ int main(int argc, char **argv) {
     Cold = runPass(Tables, Unique, Threads, AnyFailed);
     ColdStore = driver::artifactStoreStats();
   }
-  driver::ResultCacheStats CacheAfter = driver::resultCacheStats();
+  driver::ResultCacheStats Cache = driver::resultCacheStats() - CacheBefore;
 
   // Emit every table's captured bytes in order.
   for (const TableRun &TR : Tables)
@@ -314,8 +304,8 @@ int main(int argc, char **argv) {
                                    static_cast<double>(Warm.WallNs)
                              : 0.0);
   std::fprintf(stderr, ", %llu oracle evaluations\n",
-               static_cast<unsigned long long>(Cold.Oracle.Evaluations +
-                                               Warm.Oracle.Evaluations));
+               static_cast<unsigned long long>(Cold.Oracle.Misses +
+                                               Warm.Oracle.Misses));
 
   // --- Per-table artifacts --------------------------------------------------
   if (!OutDir.empty()) {
@@ -385,12 +375,9 @@ int main(int argc, char **argv) {
     std::fprintf(J,
                  "  \"result_cache\": {\"hits\": %llu, \"misses\": %llu, "
                  "\"in_flight_waits\": %llu},\n",
-                 static_cast<unsigned long long>(CacheAfter.Hits -
-                                                 CacheBefore.Hits),
-                 static_cast<unsigned long long>(CacheAfter.Misses -
-                                                 CacheBefore.Misses),
-                 static_cast<unsigned long long>(CacheAfter.InFlightWaits -
-                                                 CacheBefore.InFlightWaits));
+                 static_cast<unsigned long long>(Cache.Hits),
+                 static_cast<unsigned long long>(Cache.Misses),
+                 static_cast<unsigned long long>(Cache.InFlightWaits));
     auto StoreJson = [&](const char *Name,
                          const driver::ArtifactStoreStats &S) {
       std::fprintf(J,
@@ -410,7 +397,7 @@ int main(int argc, char **argv) {
       std::fprintf(J,
                    "  \"%s\": {\"evaluations\": %llu, \"hits\": %llu, "
                    "\"in_flight_waits\": %llu},\n",
-                   Name, static_cast<unsigned long long>(S.Evaluations),
+                   Name, static_cast<unsigned long long>(S.Misses),
                    static_cast<unsigned long long>(S.Hits),
                    static_cast<unsigned long long>(S.InFlightWaits));
     };

@@ -9,11 +9,8 @@
 #include "support/Str.h"
 #include "support/ThreadPool.h"
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 using namespace bsched;
 using namespace bsched::driver;
@@ -24,79 +21,46 @@ namespace {
 /// memo key: a result evaluated under one budget says nothing about another.
 constexpr uint64_t OracleMaxStmts = 500000000ull;
 
-/// One memoized result, of a run or of an oracle evaluation. The once_flag
-/// serializes concurrent computations of the same key without holding the
-/// map's mutex: that mutex only guards slot creation, and the first caller
-/// to reach call_once computes while later callers for that key block on
-/// the flag (not on the mutex).
-template <typename T> struct CacheEntry {
-  std::once_flag Once;
-  std::atomic<bool> Done{false}; ///< stats-only: distinguishes hit from wait.
-  T R;
-};
+/// runCached's memory tier. Unbounded, so the references runCached returns
+/// stay valid until clearResultCache.
+OnceCache<std::string, RunResult> &resultCache() {
+  static OnceCache<std::string, RunResult> C;
+  return C;
+}
 
-/// A whole suite has 17 distinct programs, so one map and one mutex suffice.
-/// Slots are shared_ptr-held so clearResultCache can drop the map while a
-/// caller is still evaluating or waiting.
-struct OracleMemo {
-  std::mutex Mu;
-  std::unordered_map<std::string,
-                     std::shared_ptr<CacheEntry<lang::EvalResult>>>
-      Map;
-  OracleCacheStats Stats;
-};
-
-OracleMemo &oracleMemo() {
-  static OracleMemo M;
+/// runWorkload's oracle memo. A whole suite has 17 distinct programs.
+OnceCache<std::string, lang::EvalResult> &oracleMemo() {
+  static OnceCache<std::string, lang::EvalResult> M;
   return M;
 }
 
 /// lang::evalProgram(P, OracleMaxStmts), evaluated once per distinct
 /// (source bytes, budget) per process. \p P must be W's parsed source. The
 /// key is the source, never W.Name: two workloads may share a name.
-lang::EvalResult oracleResult(const Workload &W, const lang::Program &P) {
+std::shared_ptr<const lang::EvalResult> oracleResult(const Workload &W,
+                                                    const lang::Program &P) {
   // Source is a C string, so the NUL cannot occur inside it.
   std::string Key = W.Source;
   Key += '\0';
   Key += std::to_string(OracleMaxStmts);
-  OracleMemo &M = oracleMemo();
-  std::shared_ptr<CacheEntry<lang::EvalResult>> Entry;
-  {
-    std::lock_guard<std::mutex> Lock(M.Mu);
-    auto &Slot = M.Map[Key];
-    if (!Slot) {
-      Slot = std::make_shared<CacheEntry<lang::EvalResult>>();
-      ++M.Stats.Evaluations;
-    } else if (Slot->Done.load(std::memory_order_acquire)) {
-      ++M.Stats.Hits;
-    } else {
-      ++M.Stats.InFlightWaits;
-    }
-    Entry = Slot;
-  }
-  std::call_once(Entry->Once, [&] {
-    Entry->R = lang::evalProgram(P, OracleMaxStmts);
-    Entry->Done.store(true, std::memory_order_release);
-  });
-  return Entry->R;
+  return oracleMemo().get(Key,
+                          [&] { return lang::evalProgram(P, OracleMaxStmts); });
 }
 
 } // namespace
 
-OracleCacheStats driver::oracleCacheStats() {
-  OracleMemo &M = oracleMemo();
-  std::lock_guard<std::mutex> Lock(M.Mu);
-  return M.Stats;
-}
+ResultCacheStats driver::resultCacheStats() { return resultCache().stats(); }
+
+OracleCacheStats driver::oracleCacheStats() { return oracleMemo().stats(); }
 
 RunResult driver::runWorkload(const Workload &W, const CompileOptions &Opts,
                               const sim::MachineConfig &Machine) {
   RunResult R;
 
   lang::Program P = parseWorkload(W);
-  lang::EvalResult Ref = oracleResult(W, P);
-  if (!Ref.ok()) {
-    R.Error = std::string(W.Name) + ": oracle: " + Ref.Error;
+  std::shared_ptr<const lang::EvalResult> Ref = oracleResult(W, P);
+  if (!Ref->ok()) {
+    R.Error = std::string(W.Name) + ": oracle: " + Ref->Error;
     return R;
   }
 
@@ -120,48 +84,12 @@ RunResult driver::runWorkload(const Workload &W, const CompileOptions &Opts,
               "]: simulation exceeded the cycle budget";
     return R;
   }
-  if (R.Sim.Checksum != Ref.Checksum) {
+  if (R.Sim.Checksum != Ref->Checksum) {
     R.Error = std::string(W.Name) + " [" + Opts.tag() +
               "]: MISCOMPILE - simulated checksum differs from the oracle";
     return R;
   }
   return R;
-}
-
-namespace {
-
-/// The result cache is sharded by key hash so workers running unrelated
-/// jobs never touch the same mutex: with one global lock, every compile of
-/// a batched sweep paid a serialized lookup, which dominated wall time once
-/// PRs 2/5 made the compiles themselves cheap. Entries live behind
-/// unique_ptr so the returned references stay valid however much a shard
-/// grows or rehashes: callers hold them across many later runCached calls.
-struct ResultShard {
-  std::mutex Mu;
-  std::unordered_map<std::string, std::unique_ptr<CacheEntry<RunResult>>> Map;
-  ResultCacheStats Stats;
-};
-
-/// Power of two comfortably above the worker counts this codebase runs.
-constexpr size_t NumResultShards = 16;
-
-ResultShard *resultShards() {
-  static ResultShard S[NumResultShards];
-  return S;
-}
-
-} // namespace
-
-ResultCacheStats driver::resultCacheStats() {
-  ResultCacheStats Total;
-  for (size_t I = 0; I != NumResultShards; ++I) {
-    ResultShard &S = resultShards()[I];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    Total.Hits += S.Stats.Hits;
-    Total.Misses += S.Stats.Misses;
-    Total.InFlightWaits += S.Stats.InFlightWaits;
-  }
-  return Total;
 }
 
 std::string driver::resultKey(const Workload &W, const CompileOptions &Opts,
@@ -191,37 +119,15 @@ std::string driver::resultKey(const Workload &W, const CompileOptions &Opts,
 }
 
 void driver::clearResultCache() {
-  for (size_t I = 0; I != NumResultShards; ++I) {
-    ResultShard &S = resultShards()[I];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    S.Map.clear();
-  }
-  OracleMemo &M = oracleMemo();
-  std::lock_guard<std::mutex> Lock(M.Mu);
-  M.Map.clear();
+  resultCache().clear();
+  oracleMemo().clear();
 }
 
 const RunResult &driver::runCached(const Workload &W,
                                    const CompileOptions &Opts,
                                    const sim::MachineConfig &Machine) {
   std::string Key = resultKey(W, Opts, Machine);
-  size_t Hash = std::hash<std::string>{}(Key);
-  ResultShard &S = resultShards()[(Hash ^ (Hash >> 32)) & (NumResultShards - 1)];
-  CacheEntry<RunResult> *Entry;
-  {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    std::unique_ptr<CacheEntry<RunResult>> &Slot = S.Map[Key];
-    if (!Slot) {
-      Slot = std::make_unique<CacheEntry<RunResult>>();
-      ++S.Stats.Misses;
-    } else if (Slot->Done.load(std::memory_order_acquire)) {
-      ++S.Stats.Hits;
-    } else {
-      ++S.Stats.InFlightWaits;
-    }
-    Entry = Slot.get();
-  }
-  std::call_once(Entry->Once, [&] {
+  return *resultCache().get(Key, [&] {
     // Disk tier: a verified, decodable artifact substitutes for the
     // compute. Anything less degrades to runWorkload — a bad disk entry
     // can cost time, never correctness.
@@ -229,24 +135,20 @@ const RunResult &driver::runCached(const Workload &W,
     if (loadArtifact(Key, Blob)) {
       ByteReader Rd(Blob);
       RunResult Loaded;
-      if (decode(Rd, Loaded) && Rd.atEnd()) {
-        Entry->R = std::move(Loaded);
-        Entry->Done.store(true, std::memory_order_release);
-        return;
-      }
+      if (decode(Rd, Loaded) && Rd.atEnd())
+        return Loaded;
       noteArtifactDecodeFailure();
     }
-    Entry->R = runWorkload(W, Opts, Machine);
+    RunResult R = runWorkload(W, Opts, Machine);
     // Persist only clean results: errors are cheap to re-derive and must
     // not outlive the bug (or transient condition) that caused them.
-    if (Entry->R.ok() && artifactStoreEnabled()) {
+    if (R.ok() && artifactStoreEnabled()) {
       ByteWriter Wr;
-      encode(Wr, Entry->R);
+      encode(Wr, R);
       storeArtifact(Key, Wr.buffer());
     }
-    Entry->Done.store(true, std::memory_order_release);
+    return R;
   });
-  return Entry->R;
 }
 
 std::vector<const RunResult *>

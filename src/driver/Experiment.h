@@ -1,10 +1,11 @@
 //===- driver/Experiment.h - Experiment harness -----------------*- C++ -*-===//
 ///
 /// \file
-/// Shared harness for the table-regenerating benchmark binaries: compiles a
-/// workload under one configuration, simulates it, cross-checks the result
-/// against the functional oracle, and memoizes (workload, configuration)
-/// pairs so one binary can assemble several table columns cheaply.
+/// The experiment harness behind bsched-suite's tables: compiles a workload
+/// under one configuration, simulates it, cross-checks the result against
+/// the functional oracle, and memoizes (workload, configuration, machine)
+/// runs so overlapping tables share them. Both memos (results and oracle
+/// checksums) are support/OnceCache instances.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 #include "driver/Compiler.h"
 #include "driver/Workloads.h"
 #include "sim/Machine.h"
+#include "support/OnceCache.h"
 #include "support/ThreadPool.h"
 
 #include <cstdint>
@@ -55,15 +57,14 @@ RunResult runWorkload(const Workload &W, const CompileOptions &Opts,
 std::string resultKey(const Workload &W, const CompileOptions &Opts,
                       const sim::MachineConfig &Machine = {});
 
-/// Memoized variant keyed on resultKey(); the benchmark binaries use this
-/// so overlapping tables share runs.
+/// Memoized variant keyed on resultKey(); the suite's tables use this so
+/// overlapping tables share runs.
 ///
-/// Thread-safe and sharded: the cache is split by key hash with one mutex
-/// per shard, so concurrent callers with distinct keys neither recompute
-/// nor contend on a shared lock; concurrent callers with the same key block
-/// until the first one finishes and then share its result (in-flight
-/// deduplication — a completed key is never recomputed). Returned
-/// references stay valid for the process lifetime (until clearResultCache).
+/// Thread-safe: an unbounded OnceCache, so concurrent callers with distinct
+/// keys neither recompute nor contend on one lock, and concurrent callers
+/// with the same key block until the first one finishes and then share its
+/// result (a completed key is never recomputed). Returned references stay
+/// valid for the process lifetime (until clearResultCache).
 ///
 /// When the persistent ArtifactStore is enabled, a memory miss first tries
 /// the disk tier: a verified on-disk artifact is decoded instead of
@@ -72,31 +73,23 @@ std::string resultKey(const Workload &W, const CompileOptions &Opts,
 const RunResult &runCached(const Workload &W, const CompileOptions &Opts,
                            const sim::MachineConfig &Machine = {});
 
-/// Empties every shard of the in-memory result cache and runWorkload's
-/// oracle memo. All references previously returned by runCached/runAll
-/// become dangling — callers are the suite runner (between its cold and
-/// warm measurement passes) and tests, which drop their results first.
-/// Must not race with runCached.
+/// Empties the in-memory result cache and runWorkload's oracle memo (their
+/// counters keep counting). All references previously returned by
+/// runCached/runAll become dangling — callers are the suite runner (between
+/// its cold and warm measurement passes) and tests, which drop their results
+/// first. Must not race with runCached.
 void clearResultCache();
 
-/// runCached observability, aggregated over shards. Hits found a completed
-/// entry, Misses paid the compile+simulate, InFlightWaits arrived while
-/// another thread was computing the same key and blocked on it.
-struct ResultCacheStats {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t InFlightWaits = 0;
-};
+/// runCached's process-cumulative counters. Hits found a completed entry,
+/// Misses paid the compile+simulate (or the disk load), InFlightWaits
+/// arrived while another thread was computing the same key and blocked on it.
+using ResultCacheStats = OnceCacheStats;
 ResultCacheStats resultCacheStats();
 
-/// runWorkload's oracle memo. Evaluations ran lang::evalProgram, Hits found
-/// a finished evaluation of the same source, InFlightWaits blocked on one
-/// another thread was running. Counts survive clearResultCache.
-struct OracleCacheStats {
-  uint64_t Evaluations = 0;
-  uint64_t Hits = 0;
-  uint64_t InFlightWaits = 0;
-};
+/// runWorkload's oracle memo, process-cumulative. Misses ran
+/// lang::evalProgram, Hits found a finished evaluation of the same source,
+/// InFlightWaits blocked on one another thread was running.
+using OracleCacheStats = OnceCacheStats;
 OracleCacheStats oracleCacheStats();
 
 /// One (workload, configuration, machine) cell of an experiment.

@@ -24,6 +24,7 @@
 #define BALSCHED_DRIVER_PROFILECACHE_H
 
 #include "ir/Interp.h"
+#include "support/OnceCache.h"
 
 #include <cstdint>
 
@@ -34,9 +35,9 @@ namespace driver {
 /// execution-relevant content. Thread-safe; results are bit-identical to an
 /// uncached run.
 ///
-/// The cache is sharded by key hash with a mutex per shard, so concurrent
-/// compiles of unrelated modules never serialize on one lock, and each
-/// shard deduplicates in-flight computations: the first miss on a key
+/// The cache is a support/OnceCache bounded at 16 shards x 32 entries, so
+/// concurrent compiles of unrelated modules never serialize on one lock, and
+/// in-flight computations are deduplicated: the first miss on a key
 /// interprets while later arrivals for the same key block on that one
 /// computation instead of redundantly re-interpreting (profiling is the
 /// most expensive phase of a cold trace-scheduled compile, so a thundering
@@ -51,15 +52,14 @@ ir::InterpResult profileModule(const ir::Module &M,
 /// covers the per-block ExactTripCount annotations the estimator consumes.
 ir::InterpResult estimatedProfileModule(const ir::Module &M);
 
-/// Cache observability for benchmarks and tests, aggregated over shards.
-struct ProfileCacheStats {
-  uint64_t Hits = 0;          ///< key present and already computed.
-  uint64_t Misses = 0;        ///< first arrival; pays the interpretation.
-  uint64_t InFlightWaits = 0; ///< arrived while another thread computed it.
-};
+/// Cache observability for benchmarks and tests: process-cumulative Hits,
+/// Misses (paid the interpretation or estimate) and InFlightWaits. Read a
+/// phase's counts as the difference of two snapshots.
+using ProfileCacheStats = OnceCacheStats;
 ProfileCacheStats profileCacheStats();
 
-/// Drops every cached profile (tests use this to measure cold behaviour).
+/// Drops every cached profile (tests use this to measure cold behaviour);
+/// the counters keep counting.
 void clearProfileCache();
 
 } // namespace driver

@@ -2,6 +2,8 @@
 
 #include "ir/Interp.h"
 
+#include "support/Serialize.h"
+
 #include <cstring>
 
 using namespace bsched;
@@ -47,17 +49,11 @@ void ExecState::storeWord(uint64_t Addr, uint64_t V) {
 }
 
 uint64_t ExecState::outputChecksum(const Module &M) const {
-  uint64_t Hash = 1469598103934665603ull;
-  for (const ArrayInfo &A : M.Arrays) {
-    if (!A.IsOutput)
-      continue;
-    const uint8_t *Data = Memory.data() + A.Base;
-    for (int64_t I = 0; I != A.sizeBytes(); ++I) {
-      Hash ^= Data[I];
-      Hash *= 1099511628211ull;
-    }
-  }
-  return Hash;
+  Fnv1a H;
+  for (const ArrayInfo &A : M.Arrays)
+    if (A.IsOutput)
+      H.bytes(Memory.data() + A.Base, static_cast<size_t>(A.sizeBytes()));
+  return H.get();
 }
 
 //===----------------------------------------------------------------------===//

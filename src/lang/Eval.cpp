@@ -2,6 +2,8 @@
 
 #include "lang/Eval.h"
 
+#include "support/Serialize.h"
+
 #include <cstring>
 #include <map>
 
@@ -248,21 +250,12 @@ private:
   }
 
   uint64_t checksum() const {
-    uint64_t Hash = 1469598103934665603ull;
-    for (const ArrayDecl &A : P.Arrays) {
-      if (!A.IsOutput)
-        continue;
-      const std::vector<uint64_t> &S = Storage.at(A.Name);
-      for (uint64_t Cell : S) {
-        uint8_t Bytes[8];
-        std::memcpy(Bytes, &Cell, 8);
-        for (uint8_t B : Bytes) {
-          Hash ^= B;
-          Hash *= 1099511628211ull;
-        }
-      }
-    }
-    return Hash;
+    Fnv1a H;
+    for (const ArrayDecl &A : P.Arrays)
+      if (A.IsOutput)
+        for (uint64_t Cell : Storage.at(A.Name))
+          H.bytes(&Cell, 8);
+    return H.get();
   }
 };
 

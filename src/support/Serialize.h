@@ -4,9 +4,9 @@
 /// The byte-level substrate of the persistent artifact store: a writer that
 /// appends fixed-width little-endian fields to a growable buffer, a reader
 /// that consumes them with every access bounds-checked, and the project's
-/// FNV-1a hash in one canonical place (runCached keys, golden hashes, module
-/// digests and artifact checksums all already speak FNV-1a; the store's
-/// content keys and payload checksums must match that dialect bit for bit).
+/// only FNV-1a (the oracle and interpreter output checksums, profile-cache
+/// keys, the store's content keys and payload checksums, golden hashes and
+/// bench digests all call it, so they agree bit for bit).
 ///
 /// Design rules, because loaded bytes come from disk and disk lies:
 ///  - The reader NEVER trusts a length field. Strings and arrays first check
@@ -32,8 +32,9 @@
 
 namespace bsched {
 
-/// Incremental 64-bit FNV-1a. The offset basis / prime match every other
-/// FNV-1a in the project (ProfileCache keys, golden hashes, fuzz digests).
+/// Incremental 64-bit FNV-1a: the one definition of its offset basis and
+/// prime. Hash with this class rather than a local loop, so every checksum
+/// and key in the project stays in one dialect.
 class Fnv1a {
 public:
   void byte(uint8_t B) {

@@ -74,13 +74,6 @@ CompileOptions balancedAt(int Threshold) {
   return O;
 }
 
-/// Oracle-memo counter moves since \p Before.
-OracleCacheStats oracleDelta(const OracleCacheStats &Before) {
-  OracleCacheStats Now = oracleCacheStats();
-  return {Now.Evaluations - Before.Evaluations, Now.Hits - Before.Hits,
-          Now.InFlightWaits - Before.InFlightWaits};
-}
-
 /// Parses and checks, but every evaluation steps outside A.
 const char *OutOfBoundsSrc = R"(
 array A[8] output;
@@ -108,14 +101,12 @@ TEST(CompileService, OverlappingKeysComputeOnce) {
         Ptrs[I] = &runCached(*J.W, J.Opts, J.Machine);
       },
       ChunkPolicy::Guided);
-  ResultCacheStats After = resultCacheStats();
+  ResultCacheStats D = resultCacheStats() - Before;
 
   // One computation per distinct key; everything else was a hit or an
   // in-flight wait on the first computation, never a recompute.
-  EXPECT_EQ(After.Misses - Before.Misses, Distinct);
-  EXPECT_EQ((After.Hits - Before.Hits) + (After.InFlightWaits -
-                                          Before.InFlightWaits),
-            Distinct * Repeat - Distinct);
+  EXPECT_EQ(D.Misses, Distinct);
+  EXPECT_EQ(D.Hits + D.InFlightWaits, Distinct * Repeat - Distinct);
 
   // Pointer-stable: all requests for one key resolved to one entry.
   for (size_t I = 0; I != Ptrs.size(); ++I) {
@@ -166,6 +157,7 @@ TEST(CompileService, ProfileCacheDedupesInFlight) {
   }
 
   clearProfileCache();
+  ProfileCacheStats Before = profileCacheStats();
   const size_t Repeat = 16;
   std::vector<ir::InterpResult> Out(Modules.size() * Repeat);
   ThreadPool::parallelForChunked(
@@ -173,7 +165,7 @@ TEST(CompileService, ProfileCacheDedupesInFlight) {
       [&](size_t I) { Out[I] = profileModule(Modules[I % Modules.size()]); },
       ChunkPolicy::Guided);
 
-  ProfileCacheStats S = profileCacheStats();
+  ProfileCacheStats S = profileCacheStats() - Before;
   EXPECT_EQ(S.Misses, Modules.size());
   EXPECT_EQ(S.Hits + S.InFlightWaits, Out.size() - Modules.size());
 
@@ -201,16 +193,17 @@ TEST(CompileService, ProfileKindsNeverShareASlot) {
   const ir::Module &M = LR.M;
 
   clearProfileCache();
+  ProfileCacheStats Before = profileCacheStats();
   ir::InterpResult Interp = profileModule(M);
   ir::InterpResult Est = estimatedProfileModule(M);
-  ProfileCacheStats S = profileCacheStats();
+  ProfileCacheStats S = profileCacheStats() - Before;
   EXPECT_EQ(S.Misses, 2u) << "kinds collided on one cache slot";
   EXPECT_EQ(S.Hits, 0u);
 
   // Re-request both: now both hit, and each kind gets its own bits back.
   ir::InterpResult Interp2 = profileModule(M);
   ir::InterpResult Est2 = estimatedProfileModule(M);
-  S = profileCacheStats();
+  S = profileCacheStats() - Before;
   EXPECT_EQ(S.Misses, 2u);
   EXPECT_EQ(S.Hits, 2u);
   EXPECT_EQ(Interp2.BlockCounts, Interp.BlockCounts);
@@ -241,7 +234,7 @@ TEST(CompileService, ProfileCacheSurvivesEviction) {
   const ir::Module &M = LR.M;
 
   clearProfileCache();
-  constexpr size_t Distinct = 600; // > total cache capacity (8 x 64).
+  constexpr size_t Distinct = 600; // > total cache capacity (16 x 32).
   constexpr uint64_t BaseBudget = 1000000000ull;
   std::vector<uint64_t> Checksums(Distinct * 2);
   ThreadPool::parallelForChunked(
@@ -265,8 +258,8 @@ TEST(OracleMemo, OneEvaluationPerProgramThroughRunAll) {
   clearResultCache();
   OracleCacheStats Before = oracleCacheStats();
   std::vector<const RunResult *> Rs = runAll(Jobs, 2);
-  OracleCacheStats D = oracleDelta(Before);
-  EXPECT_EQ(D.Evaluations, 1u);
+  OracleCacheStats D = oracleCacheStats() - Before;
+  EXPECT_EQ(D.Misses, 1u);
   EXPECT_EQ(D.Hits + D.InFlightWaits, 1u);
   for (const RunResult *R : Rs)
     EXPECT_TRUE(R->ok()) << R->Error;
@@ -284,7 +277,7 @@ TEST(OracleMemo, SameNameDifferentSourceNeverShares) {
   OracleCacheStats Before = oracleCacheStats();
   RunResult RA = runWorkload(A, balancedAt(73));
   RunResult RB = runWorkload(B, balancedAt(73));
-  EXPECT_EQ(oracleDelta(Before).Evaluations, 2u);
+  EXPECT_EQ((oracleCacheStats() - Before).Misses, 2u);
   ASSERT_TRUE(RA.ok()) << RA.Error;
   ASSERT_TRUE(RB.ok()) << RB.Error;
   EXPECT_EQ(RA.Sim.Checksum,
@@ -309,8 +302,8 @@ TEST(OracleMemo, HammerEvaluatesOnceAndMatchesFreshRuns) {
         Bytes[I] = resultBytes(runWorkload(W, balancedAt(81 + I % Configs)));
       },
       ChunkPolicy::Guided);
-  OracleCacheStats D = oracleDelta(Before);
-  EXPECT_EQ(D.Evaluations, 1u);
+  OracleCacheStats D = oracleCacheStats() - Before;
+  EXPECT_EQ(D.Misses, 1u);
   EXPECT_EQ(D.Hits + D.InFlightWaits, Bytes.size() - 1);
 
   for (int C = 0; C != Configs; ++C) {
@@ -338,7 +331,7 @@ TEST(OracleMemo, EvaluationFailureReachesEveryJob) {
                                      {&A, balancedAt(92), {}},
                                      {&B, balancedAt(91), {}}};
   std::vector<const RunResult *> Rs = runAll(Jobs, 3);
-  EXPECT_EQ(oracleDelta(Before).Evaluations, 1u);
+  EXPECT_EQ((oracleCacheStats() - Before).Misses, 1u);
   for (size_t I = 0; I != Jobs.size(); ++I) {
     std::string Prefix = std::string(Jobs[I].W->Name) + ": oracle: ";
     EXPECT_EQ(Rs[I]->Error.rfind(Prefix, 0), 0u)

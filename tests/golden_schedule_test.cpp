@@ -24,6 +24,7 @@
 #include "lower/Lower.h"
 #include "opt/Cleanup.h"
 #include "regalloc/LinearScan.h"
+#include "support/Serialize.h"
 #include "support/ThreadPool.h"
 #include "xform/Unroll.h"
 
@@ -39,15 +40,6 @@ using namespace bsched;
 using namespace bsched::driver;
 
 namespace {
-
-uint64_t fnv1a(const std::string &S) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 /// The configurations pinned by the golden table: each scheduler kind on
 /// straight-line blocks, plus the big-block (unroll 8) and trace paths for

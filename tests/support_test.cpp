@@ -1,14 +1,19 @@
 //===- tests/support_test.cpp - Unit tests for the support library --------===//
 
 #include "support/BitVec.h"
+#include "support/OnceCache.h"
 #include "support/RNG.h"
 #include "support/Str.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 using namespace bsched;
@@ -243,4 +248,95 @@ TEST(ThreadPoolChunked, GuidedResultsIndependentOfThreadCount) {
   std::vector<uint64_t> One = Run(1);
   std::vector<uint64_t> Eight = Run(8);
   EXPECT_EQ(One, Eight);
+}
+
+//===----------------------------------------------------------------------===//
+// OnceCache
+//===----------------------------------------------------------------------===//
+
+// Eight threads asking for one key at once: the value is computed once,
+// every other caller is a hit or waited on that computation, and all of
+// them share the one entry.
+TEST(OnceCache, ConcurrentCallersComputeOnce) {
+  constexpr size_t N = 8;
+  OnceCache<int, std::string> C;
+  std::atomic<unsigned> Computes{0};
+  std::vector<std::shared_ptr<const std::string>> Got(N);
+  ThreadPool::parallelForChunked(
+      N, N,
+      [&](size_t I) {
+        Got[I] = C.get(7, [&] {
+          ++Computes;
+          // Long enough that the other callers arrive mid-computation.
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          return std::string("seven");
+        });
+      },
+      ChunkPolicy::Static);
+  EXPECT_EQ(Computes.load(), 1u);
+  OnceCacheStats S = C.stats();
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Hits + S.InFlightWaits, N - 1);
+  for (const auto &P : Got) {
+    ASSERT_NE(P, nullptr);
+    EXPECT_EQ(P.get(), Got[0].get());
+    EXPECT_EQ(*P, "seven");
+  }
+}
+
+// A bounded cache drops a full shard before a new key goes in, yet a
+// caller still holding a dropped entry reads a valid value; the dropped key
+// is computed afresh on its next request.
+TEST(OnceCache, BoundDropsEntriesButHeldValuesStayValid) {
+  OnceCache<int, std::string> C(/*MaxPerShard=*/1);
+  auto Make = [](int K) {
+    return [K] { return "value " + std::to_string(K); };
+  };
+  std::shared_ptr<const std::string> Held = C.get(0, Make(0));
+  // 16 shards of one entry each: 64 more keys must land on key 0's shard.
+  for (int K = 1; K != 65; ++K)
+    EXPECT_EQ(*C.get(K, Make(K)), "value " + std::to_string(K));
+  EXPECT_EQ(*Held, "value 0");
+  OnceCacheStats Before = C.stats();
+  EXPECT_EQ(*C.get(0, Make(0)), "value 0");
+  EXPECT_EQ((C.stats() - Before).Misses, 1u) << "key 0 was never dropped";
+
+  // The same from many threads: sweeps race with lookups and computations.
+  constexpr size_t Requests = 4000;
+  std::vector<int> Bad(Requests, 0);
+  ThreadPool::parallelForChunked(
+      8, Requests,
+      [&](size_t I) {
+        int K = static_cast<int>(I % 97);
+        std::shared_ptr<const std::string> V = C.get(K, Make(K));
+        Bad[I] = *V != "value " + std::to_string(K);
+      },
+      ChunkPolicy::Guided);
+  EXPECT_EQ(std::accumulate(Bad.begin(), Bad.end(), 0), 0);
+}
+
+// clear() drops entries but keeps the counters; a phase's counts are the
+// difference of two snapshots.
+TEST(OnceCache, ClearKeepsCountersAndDeltasIsolateAPhase) {
+  OnceCache<std::string, int> C;
+  C.get("a", [] { return 1; });
+  C.get("a", [] { return 1; });
+  C.get("b", [] { return 2; });
+  OnceCacheStats Phase1 = C.stats();
+  EXPECT_EQ(Phase1.Misses, 2u);
+  EXPECT_EQ(Phase1.Hits, 1u);
+
+  C.clear();
+  OnceCacheStats AfterClear = C.stats();
+  EXPECT_EQ(AfterClear.Misses, Phase1.Misses);
+  EXPECT_EQ(AfterClear.Hits, Phase1.Hits);
+  EXPECT_EQ(AfterClear.InFlightWaits, Phase1.InFlightWaits);
+
+  // After the clear "a" is recomputed, with a new value.
+  EXPECT_EQ(*C.get("a", [] { return 3; }), 3);
+  EXPECT_EQ(*C.get("a", [] { return 4; }), 3);
+  OnceCacheStats D = C.stats() - AfterClear;
+  EXPECT_EQ(D.Misses, 1u);
+  EXPECT_EQ(D.Hits, 1u);
+  EXPECT_EQ(D.InFlightWaits, 0u);
 }
